@@ -15,6 +15,7 @@ from typing import Any, Optional
 
 from ...core import Mode, ShmemConfig, run_spmd
 from ...fabric import ClusterConfig
+from ...obsv.metrics import size_label
 from ..reporting import PAPER_SIZES, Row
 
 __all__ = ["Fig9Result", "run_fig9", "CONFIGS"]
@@ -50,9 +51,10 @@ def run_fig9(sizes: Optional[list[int]] = None,
     (derived throughputs).
 
     ``trace=True`` turns on span tracing for the sweep: latency rows
-    carry ``p50_us``/``p99_us`` from the per-op×size×hop histograms in
-    ``Row.extra`` and the scope lands in ``Fig9Result.scope`` (export it
-    with :func:`repro.obsv.dump_chrome_trace`).  Tracing never consumes
+    carry ``p50_us``/``p99_us`` in ``Row.extra``, read from the metrics
+    registry's ``{op}_us.{MODE}.{size}.{hops}hop`` histograms, and the
+    scope lands in ``Fig9Result.scope`` (export it with
+    :func:`repro.obsv.dump_chrome_trace`).  Tracing never consumes
     virtual time, so the measured values are identical either way.
     """
     sizes = sizes or PAPER_SIZES
@@ -90,6 +92,7 @@ def run_fig9(sizes: Optional[list[int]] = None,
                       cluster_config=ClusterConfig(n_hosts=n_pes),
                       shmem_config=shmem_config)
     scope = report.scope
+    registry = report.metrics
 
     series_key = {series: (mode, hops) for series, mode, hops in CONFIGS}
     rows: list[Row] = []
@@ -99,7 +102,8 @@ def run_fig9(sizes: Optional[list[int]] = None,
         extra: dict[str, Any] = {}
         if scope is not None:
             mode, hops = series_key[series]
-            hist = scope.hist.get(f"{op}.{mode.name}.{size}B.{hops}hop")
+            hist = registry.hist.get(
+                f"{op}_us.{mode.name}.{size_label(size)}.{hops}hop")
             if hist is not None:
                 summary = hist.summary()
                 extra = {"p50_us": summary.p50, "p99_us": summary.p99}

@@ -21,7 +21,7 @@ PAPER_SIZES = [1 << k for k in range(10, 20)]
 
 
 # Canonical implementation lives in the metrics fabric so size-keyed
-# metric names (put_us.4KB.1hop) agree everywhere; re-exported here for
+# metric names (put_us.DMA.4KB.1hop) agree everywhere; re-exported here for
 # the existing bench callers.
 from ..obsv.metrics import size_label  # noqa: E402,F401
 

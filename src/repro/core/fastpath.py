@@ -385,7 +385,6 @@ class CoalescingService(ShmemService):
             # Same posted-fabric semantics as the baseline hop.
             yield from self._ack(in_link, channel)
             self.dropped_forwards += 1
-            rt.tracer.count(f"{rt.name}.fwd_dropped")
             return
         next_pe = rt.neighbor_pe(out_link.direction)
         if msg.flags & FLAG_INLINE:
@@ -398,11 +397,9 @@ class CoalescingService(ShmemService):
             # downstream one — a hold-and-wait edge that can close into
             # the classic credit-deadlock cycle on a saturated ring.
             self.cut_through_fallbacks += 1
-            rt.tracer.count(f"{rt.name}.cut_fallback")
             yield from super()._forward(msg, in_link, payload_phys, channel)
             return
         self.cut_throughs += 1
-        rt.tracer.count(f"{rt.name}.cut_through")
         with rt.scope.span("cut_through", category="service",
                            track=f"{rt.name}.service", nbytes=msg.size,
                            next_pe=next_pe):
@@ -438,7 +435,6 @@ class CoalescingService(ShmemService):
                                                  payload)
             except (LinkDownError, PeerUnreachableError):
                 self.dropped_forwards += 1
-                rt.tracer.count(f"{rt.name}.fwd_dropped")
         finally:
             # The bytes have left the slot (or died trying): return the
             # upstream credit, in chain order.
@@ -495,6 +491,5 @@ class CoalescingService(ShmemService):
                 yield from mailbox.send_inline(out, data, relay=True)
         except (LinkDownError, PeerUnreachableError):
             self.dropped_forwards += 1
-            rt.tracer.count(f"{rt.name}.fwd_dropped")
         finally:
             self.active_forwards -= 1

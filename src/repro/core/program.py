@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..fabric import Cluster, ClusterConfig
-from ..sim import AllOf, CountdownLatch, Environment, Tracer
+from ..sim import AllOf, CountdownLatch, Environment
 from .api import PE
 from .errors import ShmemError
 from .runtime import ShmemConfig, ShmemRuntime
@@ -54,10 +54,6 @@ class SpmdReport:
         return self.cluster.env
 
     @property
-    def tracer(self) -> Tracer:
-        return self.cluster.tracer
-
-    @property
     def metrics(self):
         """The cluster's always-on :class:`~repro.obsv.MetricsRegistry`."""
         return self.cluster.metrics
@@ -66,45 +62,52 @@ class SpmdReport:
         return self.runtimes[pe]
 
     def stats(self) -> dict[str, Any]:
-        """Aggregate operation counters across PEs."""
+        """Aggregate operation counters across PEs, plus the count, mean
+        and max of every latency histogram in the registry."""
         out: dict[str, Any] = {
             "elapsed_us": self.elapsed_us,
             "puts": sum(rt.put_count for rt in self.runtimes),
             "gets": sum(rt.get_count for rt in self.runtimes),
             "amos": sum(rt.amo_count for rt in self.runtimes),
         }
-        out.update(self.tracer.summary())
+        for key, hist in self.metrics.hist.items():
+            out[f"{key}.count"] = hist.count
+            out[f"{key}.mean_us"] = hist.mean
+            out[f"{key}.max_us"] = hist.maximum
         return out
 
     def render_profile(self) -> str:
-        """Human-readable per-PE operation profile (virtual time).
+        """Human-readable operation profile (virtual time).
 
-        One line per (PE, op) with call count, mean and max latency plus
-        moved bytes — the quick answer to "where did the time go?".
+        One line per (PE, op, kind) with call count and moved bytes, from
+        the PE-scoped counters (``pe0.put.DMA``, ``pe0.amo.ADD``,
+        ``pe0.barriers``); ``kind`` is the data-path mode, the AMO op or
+        the barrier strategy.  The cluster-wide latency histograms
+        (``put_us.DMA.4KB.1hop``, ...) follow — the quick answer to
+        "where did the time go?".
         """
-        lines = [
-            f"{'PE':>3} {'op':<9} {'calls':>7} {'mean_us':>10} "
-            f"{'max_us':>10} {'bytes':>12}"
-        ]
+        lines = [f"{'PE':>3} {'op':<9} {'kind':<12} {'calls':>7} "
+                 f"{'bytes':>12}"]
+        counters = dict(self.metrics.counters())
         for runtime in self.runtimes:
-            for op in ("put", "get", "barrier"):
-                stats = self.tracer.intervals.get(
-                    f"{runtime.name}.{op}_us"
-                )
-                if stats is None or stats.count == 0:
-                    continue
-                counter = self.tracer.counters.get(f"{runtime.name}.{op}")
-                nbytes = counter.bytes if counter else 0
+            rows = []
+            for op in ("put", "get", "amo"):
+                prefix = f"{runtime.name}.{op}."
+                rows += [(op, key[len(prefix):], counter)
+                         for key, counter in counters.items()
+                         if key.startswith(prefix)]
+            barriers = counters.get(f"{runtime.name}.barriers")
+            if barriers is not None:
+                rows.append(("barrier", runtime.config.barrier, barriers))
+            for op, kind, counter in rows:
                 lines.append(
-                    f"{runtime.my_pe_id:>3} {op:<9} {stats.count:>7} "
-                    f"{stats.mean:>10.1f} {stats.maximum:>10.1f} "
-                    f"{nbytes:>12}"
-                )
+                    f"{runtime.my_pe_id:>3} {op:<9} {kind:<12} "
+                    f"{counter.value:>7} {counter.bytes:>12}")
         if len(lines) == 1:
             lines.append("  (no instrumented operations recorded)")
-        if self.scope is not None and list(self.scope.hist.items()):
+        if len(self.metrics.hist):
             lines.append("")
-            lines.append(self.scope.hist.render())
+            lines.append(self.metrics.hist.render())
         return "\n".join(lines)
 
 

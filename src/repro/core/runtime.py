@@ -48,7 +48,7 @@ from ..ntb import LinkDownError, NtbDriver
 from ..ntb.device import BYPASS_WINDOW, DATA_WINDOW
 from ..obsv.metrics import MetricsRegistry, MetricsTicker, size_label
 from ..obsv.spans import NULL_SCOPE, ShmemScope, instrument_cluster
-from ..sim import Environment, Event, Interrupt, Signal, Tracer
+from ..sim import Environment, Event, Interrupt, Signal
 from .errors import (
     BadPeError,
     NotInitializedError,
@@ -299,7 +299,6 @@ class ShmemRuntime:
                  config: Optional[ShmemConfig] = None):
         self.cluster = cluster
         self.env: Environment = cluster.env
-        self.tracer: Tracer = cluster.tracer
         self.config = config or ShmemConfig()
         self.host: Host = cluster.host(host_id)
         self.topology = cluster.topology
@@ -361,7 +360,6 @@ class ShmemRuntime:
                 san = ShmemSan(
                     self.n_pes, mode=self.config.sanitize,
                     granularity=self.config.sanitize_granularity,
-                    tracer=self.tracer,
                 )
                 cluster.shmemsan = san
             self.san = san
@@ -777,10 +775,8 @@ class ShmemRuntime:
             ) from None
         if route.fallback:
             self.route_fallbacks += 1
-            self.tracer.count(f"{self.name}.route_fallback")
         if route.rerouted:
             self.reroutes += 1
-            self.tracer.count(f"{self.name}.reroute")
         return route
 
     # -------------------------------------------------------- fault handling
@@ -865,7 +861,6 @@ class ShmemRuntime:
                 link.bypass_mailbox.fail_outstanding()
         if self.barrier is not None:
             self.barrier.on_link_event()
-        self.tracer.count(f"{self.name}.edge_dead")
         self.link_state_changed.fire(("dead", edge))
         return True
 
@@ -876,7 +871,6 @@ class ShmemRuntime:
         self.dead_edges.discard(edge)
         if self.barrier is not None:
             self.barrier.on_link_event()
-        self.tracer.count(f"{self.name}.edge_alive")
         self.link_state_changed.fire(("alive", edge))
         return True
 
@@ -1017,16 +1011,9 @@ class ShmemRuntime:
                 if op_span is not None:
                     op_span.args["hops"] = traversed[0]
         finally:
-            self.tracer.observe(f"{self.name}.put_us",
-                                self.env.now - op_start)
-            self.tracer.count(f"{self.name}.put", nbytes=nbytes)
-            self.scope.hist.observe(
-                f"put.{mode.name}.{nbytes}B.{traversed[0]}hop",
-                self.env.now - op_start,
-            )
             self.metrics.inc(f"put.{mode.name}", nbytes=nbytes)
             self.metrics_registry.observe(
-                f"put_us.{size_label(nbytes)}.{traversed[0]}hop",
+                f"put_us.{mode.name}.{size_label(nbytes)}.{traversed[0]}hop",
                 self.env.now - op_start)
 
     def _put_inner(self, dest: SymAddr, src_virt: int, nbytes: int,
@@ -1160,16 +1147,9 @@ class ShmemRuntime:
                 if op_span is not None:
                     op_span.args["hops"] = traversed[0]
         finally:
-            self.tracer.observe(f"{self.name}.get_us",
-                                self.env.now - op_start)
-            self.tracer.count(f"{self.name}.get", nbytes=nbytes)
-            self.scope.hist.observe(
-                f"get.{mode.name}.{nbytes}B.{traversed[0]}hop",
-                self.env.now - op_start,
-            )
             self.metrics.inc(f"get.{mode.name}", nbytes=nbytes)
             self.metrics_registry.observe(
-                f"get_us.{size_label(nbytes)}.{traversed[0]}hop",
+                f"get_us.{mode.name}.{size_label(nbytes)}.{traversed[0]}hop",
                 self.env.now - op_start)
 
     def _get_inner(self, src: SymAddr, nbytes: int, pe: int,
@@ -1507,10 +1487,6 @@ class ShmemRuntime:
             yield from self.barrier.wait()
             if self.san is not None:
                 self.san.barrier_exit(self.my_pe_id)
-        self.tracer.observe(f"{self.name}.barrier_us",
-                            self.env.now - op_start)
-        self.scope.hist.observe(f"barrier.{self.config.barrier}",
-                                self.env.now - op_start)
         self.metrics.inc("barriers")
         self.metrics_registry.observe(
             f"barrier_us.{self.config.barrier}", self.env.now - op_start)

@@ -438,7 +438,6 @@ class ShmemService:
             # like the dead-edge branch below.
             yield from self._ack(in_link, channel)
             self.dropped_forwards += 1
-            rt.tracer.count(f"{rt.name}.fwd_dropped")
             return
         next_pe = rt.neighbor_pe(out_link.direction)
         if rt.dead_edges \
@@ -449,7 +448,6 @@ class ShmemService:
             # requester's job (retry / reroute / typed error).
             yield from self._ack(in_link, channel)
             self.dropped_forwards += 1
-            rt.tracer.count(f"{rt.name}.fwd_dropped")
             return
         with rt.scope.span("bypass_forward", category="service",
                            track=f"{rt.name}.service", nbytes=msg.size,
@@ -500,7 +498,6 @@ class ShmemService:
             out_link = self._out_link(in_link, msg.dest_pe)
         except NoRouteError:
             self.dropped_forwards += 1
-            self.rt.tracer.count(f"{self.rt.name}.fwd_dropped")
             return
         next_pe = self.rt.neighbor_pe(out_link.direction)
         dedup = None
@@ -514,7 +511,6 @@ class ShmemService:
             dedup = (out_link.side, msg.src_pe, msg.dest_pe, msg.aux)
             if dedup in self._queued_ctrl_fwds:
                 self.dup_ctrl_drops += 1
-                self.rt.tracer.count(f"{self.rt.name}.fwd_dup_dropped")
                 return
             self._queued_ctrl_fwds.add(dedup)
         self._spawn_task(msg, out_link, next_pe, staging=None, dedup=dedup)
@@ -572,7 +568,6 @@ class ShmemService:
             # exception escape would crash the whole simulation, not
             # just this transfer.
             self.dropped_forwards += 1
-            self.rt.tracer.count(f"{self.rt.name}.fwd_dropped")
         finally:
             if dedup is not None:
                 self._queued_ctrl_fwds.discard(dedup)
@@ -625,7 +620,6 @@ class ShmemService:
             # Reverse path died mid-stream: abandon the response.  The
             # requester's bounded wait notices and retries or raises.
             self.abandoned_responses += 1
-            rt.tracer.count(f"{rt.name}.get_resp_abandoned")
         finally:
             rt.host.free_pinned(staging)
             self.active_responders -= 1

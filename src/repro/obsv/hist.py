@@ -132,8 +132,9 @@ class LogHistogram:
 class HistogramRegistry:
     """Named histograms, created on first observation.
 
-    Keys follow ``{op}.{mode}.{size}B.{hops}hop`` for the bench paths,
-    but any string works.  Iteration is sorted for deterministic output.
+    The metrics registry keys op latencies as
+    ``{op}_us.{MODE}.{size}.{hops}hop`` (``put_us.DMA.4KB.1hop``), but any
+    string works.  Iteration is sorted for deterministic output.
     """
 
     def __init__(self) -> None:
@@ -159,7 +160,7 @@ class HistogramRegistry:
         """Fixed-width table of every histogram's summary.
 
         The key column stretches to the longest key so long
-        ``{op}.{mode}.{size}B.{hops}hop`` names cannot shear the table.
+        ``{op}_us.{MODE}.{size}.{hops}hop`` names cannot shear the table.
         """
         width = max([36] + [len(key) for key in self._hists])
         lines = [title,

@@ -13,9 +13,10 @@ single :class:`MetricsRegistry` per cluster holds typed instruments —
   per-event overhead;
 * :class:`Meter` — a counter with a sliding virtual-time window so
   recent rates ("doorbells/ms over the last 5 ms") are first-class;
-* distributions — the registry embeds a
-  :class:`~repro.obsv.hist.HistogramRegistry` (the same log-bucketed
-  histograms the span scope uses) for latency tails up to p999.
+* distributions — the registry embeds the simulation's one
+  :class:`~repro.obsv.hist.HistogramRegistry` (log-bucketed latency
+  tails up to p999), keyed ``put_us.DMA.4KB.1hop``,
+  ``get_us.MEMCPY.64KB.2hop``, ``amo_us.1hop``, ``barrier_us.ring``.
 
 Design rules (the same discipline as spans, docs/METRICS.md):
 
@@ -47,7 +48,7 @@ from .hist import HistogramRegistry
 def size_label(nbytes: int) -> str:
     """1024 -> '1KB', 524288 -> '512KB' (the paper's x-axis labels).
 
-    Canonical spelling for size-keyed metric names (``put_us.4KB.1hop``)
+    Canonical spelling for size-keyed metric names (``put_us.DMA.4KB.1hop``)
     so bench tables, SLO rules and the registry all agree.
     """
     if nbytes % 1024 == 0 and 0 < nbytes < (1 << 20):

@@ -6,7 +6,7 @@ bench ``--check`` and the CI chaos job gate on (ROADMAP item 5).
 
 Rule syntax (one rule per line; ``#`` comments and blank lines ignored)::
 
-    p99(put_us.32B.2hop) < 2500
+    p99(put_us.DMA.32B.2hop) < 2500
     mean(get_us.*) <= 40000
     rate(pe*.retries) == 0 unless faults.severs > 0
     heartbeat.misses == 0 unless faults.severs > 0

@@ -47,3 +47,20 @@ class TestRenderProfile:
         put_line = next(l for l in profile.splitlines()
                         if l.split()[1:2] == ["put"])
         assert put_line.split()[-1] == "4096"
+
+    def test_profile_lists_amos(self):
+        def main(pe):
+            counter = yield from pe.malloc(8)
+            yield from pe.barrier_all()
+            if pe.my_pe() == 0:
+                yield from pe.atomic_add(counter, 1, 1)
+                yield from pe.atomic_fetch(counter, 2)
+            yield from pe.barrier_all()
+
+        report = run_spmd(main, n_pes=3)
+        profile = report.render_profile()
+        amo_lines = [l.split() for l in profile.splitlines()
+                     if l.split()[1:2] == ["amo"]]
+        assert sorted(l[2] for l in amo_lines) == ["ADD", "FETCH"]
+        assert all(l[0] == "0" and l[3] == "1" for l in amo_lines)
+        assert "amo_us.1hop" in profile

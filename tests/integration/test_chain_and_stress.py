@@ -133,10 +133,11 @@ class TestLatencyInstrumentation:
             yield from pe.barrier_all()
 
         report = run_spmd(main, n_pes=3)
-        summary = report.tracer.summary()
-        assert summary["interval.pe0.put_us.count"] == 1
-        assert summary["interval.pe0.get_us.count"] == 1
-        assert summary["interval.pe0.get_us.mean_us"] > \
-            summary["interval.pe0.put_us.mean_us"]
-        assert summary["bytes.pe0.put"] == 8192
-        assert summary["interval.pe0.barrier_us.count"] >= 1
+        hist = report.metrics.hist
+        put = hist.get("put_us.DMA.8KB.1hop")
+        get = hist.get("get_us.DMA.1KB.1hop")
+        assert put.count == 3  # one per PE, cluster-wide
+        assert get.count == 3
+        assert get.mean > put.mean
+        assert report.metrics.counter("pe0.put.DMA").bytes == 8192
+        assert hist.get("barrier_us.ring").count >= 3

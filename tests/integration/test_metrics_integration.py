@@ -10,7 +10,7 @@ from repro.bench.experiments.metrics import (
     check_against,
     run_metrics_smoke,
 )
-from repro.core import ShmemConfig, run_spmd
+from repro.core import Mode, ShmemConfig, run_spmd
 from repro.obsv.slo import SloRuleSet
 
 
@@ -51,10 +51,44 @@ class TestClusterWiring:
 
     def test_op_histograms_recorded(self):
         report = run_spmd(_workload, n_pes=3)
-        hist = report.metrics.hist.get("put_us.4KB.1hop")
+        hist = report.metrics.hist.get("put_us.DMA.4KB.1hop")
         assert hist is not None
         assert hist.count == 9  # 3 puts x 3 PEs, all one hop
         assert hist.quantile(0.999) >= hist.quantile(0.5) > 0
+
+    def test_latency_keyed_by_mode(self):
+        # DMA and memcpy puts of one size and hop count are Fig. 9's two
+        # series; one shared histogram would average them into neither.
+        def main(pe):
+            sym = yield from pe.malloc(8192)
+            counter = yield from pe.malloc(8)
+            src = pe.local_alloc(8192)
+            dst = pe.local_alloc(8192)
+            target = (pe.my_pe() + 1) % pe.num_pes()
+            yield from pe.barrier_all()
+            for mode in (Mode.DMA, Mode.MEMCPY):
+                yield from pe.put_from(sym, src, 8192, target, mode=mode)
+                yield from pe.barrier_all()
+            yield from pe.get_into(dst, sym, 4096, target, mode=Mode.MEMCPY)
+            yield from pe.atomic_add(counter, 1, target)
+            yield from pe.barrier_all()
+
+        report = run_spmd(main, n_pes=3)
+        registry = report.metrics
+        dma = registry.hist.get("put_us.DMA.8KB.1hop")
+        memcpy = registry.hist.get("put_us.MEMCPY.8KB.1hop")
+        assert dma.count == memcpy.count == 3
+        assert dma.mean == pytest.approx(49.0, abs=0.5)
+        assert memcpy.mean == pytest.approx(80.0, abs=0.5)
+        assert registry.hist.get("put_us.8KB.1hop") is None
+        # One observation per op: each histogram family counts exactly
+        # the ops the PE gauges/counters saw.
+        for family, key in (("put_us.", "pe*.puts"), ("get_us.", "pe*.gets"),
+                            ("amo_us.", "pe*.amos"),
+                            ("barrier_us.", "pe*.barriers")):
+            observed = sum(hist.count for name, hist in registry.hist.items()
+                           if name.startswith(family))
+            assert observed == registry.value(key) > 0, family
 
     def test_prometheus_export_of_real_run(self):
         report = run_spmd(_workload, n_pes=2)
@@ -63,7 +97,7 @@ class TestClusterWiring:
         # the per-mode breakdown (put.DMA) is a true counter.
         assert "# TYPE repro_pe0_puts gauge" in text
         assert "# TYPE repro_pe0_put_DMA counter" in text
-        assert "repro_put_us_4KB_1hop" in text
+        assert "repro_put_us_DMA_4KB_1hop" in text
 
 
 # --------------------------------------------------- zero virtual-time cost
@@ -115,7 +149,7 @@ class TestSloOnRealRuns:
         # measured p99 blows through it and the ruleset must fail.
         report = run_spmd(_workload, n_pes=3)
         rules = SloRuleSet.parse(
-            "p99(put_us.4KB.1hop) < 0.001\n"
+            "p99(put_us.DMA.4KB.1hop) < 0.001\n"
             "pe*.retries == 0 unless faults.severs > 0\n")
         slo = rules.evaluate(report.metrics)
         assert not slo.ok

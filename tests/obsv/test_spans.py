@@ -84,8 +84,6 @@ class TestScopeMechanics:
         assert NULL_SCOPE.current_span_id() is None
         assert NULL_SCOPE.current_label() == ""
         assert NULL_SCOPE.adopt_msg("m") is None
-        NULL_SCOPE.hist.observe("k", 1.0)
-        assert NULL_SCOPE.hist.items() == []
         assert not NULL_SCOPE.enabled
 
 
@@ -142,10 +140,10 @@ class TestPutSpanTree:
         scope = report.scope
         assert scope.open_spans() == []
         assert scope.pending_bindings() == 0
-        hist = scope.hist.get("put.DMA.512B.2hop")
+        hist = report.metrics.hist.get("put_us.DMA.512B.2hop")
         assert hist is not None and hist.count == 1
-        assert scope.hist.get("barrier.ring") is not None
-        assert "put.DMA.512B.2hop" in report.render_profile()
+        assert report.metrics.hist.get("barrier_us.ring") is not None
+        assert "put_us.DMA.512B.2hop" in report.render_profile()
 
 
 # ------------------------------------------------------------- determinism
