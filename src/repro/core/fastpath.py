@@ -381,12 +381,12 @@ class CoalescingService(ShmemService):
             out_link = None
         if out_link is None or (
                 rt.dead_edges
-                and rt._edge_for_side(out_link.side) in rt.dead_edges):
+                and out_link.edge in rt.dead_edges):
             # Same posted-fabric semantics as the baseline hop.
             yield from self._ack(in_link, channel)
             self.dropped_forwards += 1
             return
-        next_pe = rt.neighbor_pe(out_link.direction)
+        next_pe = out_link.peer_host_id
         if msg.flags & FLAG_INLINE:
             yield from self._forward_inline(msg, in_link, out_link, next_pe,
                                             payload_phys, channel)
@@ -422,7 +422,7 @@ class CoalescingService(ShmemService):
             rt.scope.bind_process(task, rt.scope.current_span_id())
 
     def _cut_through_task(self, msg: Message, in_link: "LinkEnd",
-                          out_link: "LinkEnd", next_pe: Optional[int],
+                          out_link: "LinkEnd", next_pe: int,
                           payload: PayloadSource, channel: str,
                           prev: Optional[Event], gate: Event) -> Generator:
         rt = self.rt
@@ -452,15 +452,12 @@ class CoalescingService(ShmemService):
                 self.active_forwards -= 1
 
     def _forward_inline(self, msg: Message, in_link: "LinkEnd",
-                        out_link: "LinkEnd", next_pe: Optional[int],
+                        out_link: "LinkEnd", next_pe: int,
                         payload_phys: int, channel: str) -> Generator:
         """Forward an inline message: copy the ≤48 in-header bytes out
         (effectively free) and relay them inline again — the relay skips
         DMA exactly like the first hop did."""
         rt = self.rt
-        if next_pe is None:
-            yield from super()._forward(msg, in_link, payload_phys, channel)
-            return
         data = rt.host.memory.read(payload_phys, msg.size).copy()
         yield from rt.host.cpu.local_memcpy(msg.size)
         yield from self._ack(in_link, channel)

@@ -242,18 +242,9 @@ class LinkEnd:
     rx_data: PinnedBuffer          # incoming data-window target
     rx_bypass: PinnedBuffer        # incoming bypass-window target
     incoming_spad_block: int       # where peers' headers appear
+    edge: tuple[int, int]          # canonical id of this adapter's cable
+    peer_host_id: int              # host at the cable's far end
     next_rx_slot: int = 0          # in-order bypass slot cursor
-    peer_host_id: Optional[int] = None
-
-    @property
-    def direction(self) -> PortLike:
-        """Ring/chain ports keep their Direction spelling; grid ports
-        are plain port strings."""
-        if self.side == "right":
-            return Direction.RIGHT
-        if self.side == "left":
-            return Direction.LEFT
-        return self.side
 
 
 @dataclass
@@ -555,6 +546,11 @@ class ShmemRuntime:
                 slots=cfg.bypass_slots, name=f"{self.name}.{side}.bypass",
             )
         rx_bypass = self.host.alloc_pinned(bypass_mailbox.window_bytes_needed)
+        # The cable and its far end are fixed by the cabling plan; the
+        # handshake confirms the peer over the wire.
+        edge = self.topology.edge_for(self.my_pe_id, side)
+        peer = self.topology.neighbor(self.my_pe_id, side)
+        assert edge is not None and peer is not None
         self.links[side] = LinkEnd(
             side=side,
             driver=driver,
@@ -563,6 +559,8 @@ class ShmemRuntime:
             rx_data=rx_data,
             rx_bypass=rx_bypass,
             incoming_spad_block=in_block,
+            edge=edge,
+            peer_host_id=peer,
         )
 
     def _announce(self, link: LinkEnd) -> Generator:
@@ -576,15 +574,21 @@ class ShmemRuntime:
         then program windows + LUT — §III-B.1 step 1 verbatim."""
         driver = link.driver
         out, inc = link.data_mailbox.spad_block, link.incoming_spad_block
-        # Learn the neighbor.  A neighbor that never says hello (severed
-        # cable, dead host) must surface as a typed error, not an
-        # infinite ScratchPad poll.
+        # Hear the neighbor's hello.  A neighbor that never says hello
+        # (severed cable, dead host) must surface as a typed error, not
+        # an infinite ScratchPad poll; one with the wrong id is a
+        # mis-cabled fabric.
         start = self.env.now
         with self.blocked_on(f"handshake hello ({link.side})"):
             while True:
                 value = yield from driver.spad_read(inc + 0)
                 if (value & 0xFFFF0000) == _HELLO_MAGIC:
-                    link.peer_host_id = value & 0xFFFF
+                    heard = value & 0xFFFF
+                    if heard != link.peer_host_id:
+                        raise ProtocolError(
+                            f"{self.name}: {link.side} neighbor says host "
+                            f"{heard}, cabling plan says {link.peer_host_id}"
+                        )
                     break
                 if self.env.now - start > self.config.handshake_timeout_us:
                     raise PeerUnreachableError(
@@ -740,9 +744,6 @@ class ShmemRuntime:
                 f"{self.name}: no {side} adapter for routing"
             ) from None
 
-    def neighbor_pe(self, direction: PortLike) -> Optional[int]:
-        return self.topology.neighbor(self.my_pe_id, direction)
-
     def _port_load(self, port: str) -> float:
         """Live congestion estimate the adaptive router consults per hop:
         in-flight traffic plus credit waiters on the port's mailboxes
@@ -813,19 +814,13 @@ class ShmemRuntime:
         try:
             while True:
                 state = yield monitor.wait_state_change()
-                edge = self._edge_for_side(side)
+                edge = self.links[side].edge
                 if state is LinkState.DEAD:
                     yield from self._mark_edge_dead(edge, announce=True)
                 elif state is LinkState.ALIVE:
                     yield from self._mark_edge_alive(edge, announce=True)
         except Interrupt:
             return
-
-    def _edge_for_side(self, side: str) -> tuple[int, int]:
-        """The directed cable name for one of my adapters."""
-        edge = self.topology.edge_for(self.my_pe_id, side)
-        assert edge is not None
-        return edge
 
     def _route_blocked(self, route: Route, dst: Optional[int] = None) -> bool:
         """Does ``route`` (starting at me, toward ``dst``) cross a dead
@@ -856,7 +851,7 @@ class ShmemRuntime:
         self.dead_edges.add(edge)
         self._fail_pending_on_edge()
         for link in self.links.values():
-            if self._edge_for_side(link.side) == edge:
+            if link.edge == edge:
                 link.data_mailbox.fail_outstanding()
                 link.bypass_mailbox.fail_outstanding()
         if self.barrier is not None:
@@ -928,8 +923,8 @@ class ShmemRuntime:
         updates are idempotent).
         """
         my_side = None
-        for side in self.links:
-            if self._edge_for_side(side) == edge:
+        for side, link in self.links.items():
+            if link.edge == edge:
                 my_side = side
                 break
         if my_side is None:
@@ -1436,9 +1431,7 @@ class ShmemRuntime:
                     if (dm.local_idle and bm.local_idle) if degraded \
                             else (dm.idle and bm.idle):
                         continue
-                    if expired \
-                            or self._edge_for_side(link.side) \
-                            in self.dead_edges:
+                    if expired or link.edge in self.dead_edges:
                         # Traffic handed to a severed cable will never be
                         # ACKed (master abort): it is failed, not pending.
                         # apply_edge_dead flushed the slots once at death;

@@ -439,9 +439,9 @@ class ShmemService:
             yield from self._ack(in_link, channel)
             self.dropped_forwards += 1
             return
-        next_pe = rt.neighbor_pe(out_link.direction)
+        next_pe = out_link.peer_host_id
         if rt.dead_edges \
-                and rt._edge_for_side(out_link.side) in rt.dead_edges:
+                and out_link.edge in rt.dead_edges:
             # The onward cable is declared dead: behave like the posted
             # fabric itself — ACK the sender (its slot must come back)
             # and drop the chunk.  End-to-end recovery is the
@@ -461,12 +461,10 @@ class ShmemService:
             self._spawn_task(msg, out_link, next_pe, staging)
 
     def _send_onward(self, msg: Message, out_link: "LinkEnd",
-                     next_pe: Optional[int],
+                     next_pe: int,
                      payload: Optional[PayloadSource]) -> Generator:
         """Pick the delivery window for the next hop and transmit."""
         rt = self.rt
-        if next_pe is None:
-            raise ProtocolError(f"{rt.name}: forwarding off the chain end")
         final_leg = next_pe == msg.dest_pe
         if payload is None or msg.kind in (
                 MsgKind.GET_REQ, MsgKind.AMO_REQ, MsgKind.AMO_RESP,
@@ -499,7 +497,7 @@ class ShmemService:
         except NoRouteError:
             self.dropped_forwards += 1
             return
-        next_pe = self.rt.neighbor_pe(out_link.direction)
+        next_pe = out_link.peer_host_id
         dedup = None
         if msg.kind is MsgKind.BARRIER_MSG:
             # ARRIVE/RELEASE are idempotent and generation-tagged (aux):
@@ -518,7 +516,7 @@ class ShmemService:
         yield  # pragma: no cover - keeps this a generator
 
     def _spawn_task(self, msg: Message, out_link: "LinkEnd",
-                    next_pe: Optional[int],
+                    next_pe: int,
                     staging, dedup=None) -> None:
         """Detach an onward send so the service thread cannot deadlock.
 
@@ -539,7 +537,7 @@ class ShmemService:
         self.rt.scope.bind_process(task, self.rt.scope.current_span_id())
 
     def _onward_task(self, msg: Message, out_link: "LinkEnd",
-                     next_pe: Optional[int], staging,
+                     next_pe: int, staging,
                      dedup=None, ctrl: bool = False) -> Generator:
         try:
             if ctrl:
@@ -597,7 +595,7 @@ class ShmemService:
                                track=f"{rt.name}.service",
                                nbytes=msg.size, requester=msg.src_pe):
                 out_link = rt.links[reply_side]
-                next_pe = rt.neighbor_pe(out_link.direction)
+                next_pe = out_link.peer_host_id
                 for chunk_off, chunk_size in chunk_ranges(msg.size, chunk):
                     # heap -> staging (cached copy)
                     yield from rt.host.cpu.local_memcpy(chunk_size)
@@ -638,7 +636,7 @@ class ShmemService:
                                                   compare)
             # Reply along the reverse path (detached, like onward sends).
             out_link = link
-            next_pe = rt.neighbor_pe(out_link.direction)
+            next_pe = out_link.peer_host_id
             staging = rt.host.alloc_pinned(64)
             rt.host.memory.write(
                 staging.phys,

@@ -27,6 +27,7 @@ from ..sim import Environment
 from .topology import (
     ChainTopology,
     Direction,
+    GridTopology,
     MeshTopology,
     RingTopology,
     Topology,
@@ -82,13 +83,16 @@ class ClusterConfig:
                 raise ValueError(
                     f"dims {self.dims} multiply to {n}, "
                     f"but n_hosts={self.n_hosts}")
+            GridTopology.check_dims(self.dims,
+                                    wrap=self.topology == "torus")
         elif self.dims is not None:
             raise ValueError(
                 f"dims only apply to mesh/torus, not {self.topology!r}")
-        # A 3D grid seats up to six adapters per host; make sure the
-        # host's MSI controller has a vector range for each of them.
-        required = IRQ_VECTORS_PER_PORT * len(
-            self.make_topology().PORT_ORDER)
+        # A 3D grid seats up to six adapters per host (a port pair per
+        # axis; rings and chains have one pair); make sure the host's
+        # MSI controller has a vector range for each of them.
+        n_ports = 2 * (len(self.dims) if self.dims is not None else 1)
+        required = IRQ_VECTORS_PER_PORT * n_ports
         if self.host.num_irq_vectors < required:
             object.__setattr__(
                 self, "host",

@@ -35,7 +35,7 @@ its typed ``PeerUnreachableError``.
 from __future__ import annotations
 
 from collections import deque
-from typing import AbstractSet, Callable, Optional
+from typing import AbstractSet, Callable, Optional, Sequence
 
 from .topology import (
     Direction,
@@ -115,9 +115,12 @@ class Router:
     def live_ports(self, node: int,
                    dead_edges: AbstractSet) -> tuple[str, ...]:
         """Cabled ports at ``node`` whose cable is not severed."""
+        topo = self.topology
+        if not dead_edges:
+            return topo.ports(node)
         return tuple(
-            port for port in self.topology.ports(node)
-            if self.topology.edge_for(node, port) not in dead_edges
+            port for port in topo.ports(node)
+            if topo.edge_for(node, port) not in dead_edges
         )
 
     def bfs_path(self, src: int, dst: int,
@@ -275,7 +278,9 @@ class AdaptiveRouter(Router):
     strictly closer to the destination (minimal progress).  With a load
     estimator it picks the least-loaded such port, breaking ties in
     ``PORT_ORDER``; without one it prefers the canonical dimension-order
-    port.
+    port.  On an intact fabric the candidate set is static, so it comes
+    from the topology's per-pair :meth:`~.topology.Topology.minimal_ports`
+    table and only the ranking by live load runs per hop.
 
     With dead edges in play "closer" is measured on the *live* graph
     (a BFS distance field rooted at the destination), not the intact
@@ -293,48 +298,46 @@ class AdaptiveRouter(Router):
                 dead_edges: AbstractSet = _NO_EDGES,
                 load: Optional[LoadFn] = None) -> Route:
         topo = self.topology
+        if not dead_edges:
+            if load is None:
+                port, _nxt = topo.next_hop(src, dst)
+            else:
+                port = self._least_loaded(topo.minimal_ports(src, dst), load)
+            return Route(port, topo.min_hops(src, dst))
         canonical_port, _nxt = topo.next_hop(src, dst)
-        base = topo.min_hops(src, dst)
-        if not dead_edges and load is None:
-            return Route(canonical_port, base)
-        if dead_edges:
-            dist = self.live_distances(dst, dead_edges)
-            here = dist.get(src)
-            if here is None:
-                raise NoRouteError(
-                    f"no live route {src} -> {dst} "
-                    f"(dead edges: {sorted(dead_edges)})"
-                )
-            def closer(port: str) -> bool:
-                return dist.get(topo.neighbor(src, port)) == here - 1
-        else:
-            here = base
-
-            def closer(port: str) -> bool:
-                return topo.min_hops(topo.neighbor(src, port), dst) \
-                    == here - 1
+        dist = self.live_distances(dst, dead_edges)
+        here = dist.get(src)
+        if here is None:
+            raise NoRouteError(
+                f"no live route {src} -> {dst} "
+                f"(dead edges: {sorted(dead_edges)})"
+            )
         candidates = [
             port for port in self.live_ports(src, dead_edges)
-            if closer(port)
+            if dist.get(topo.neighbor(src, port)) == here - 1
         ]
         if not candidates:  # pragma: no cover - here finite implies one
             raise NoRouteError(
                 f"no live route {src} -> {dst} "
                 f"(dead edges: {sorted(dead_edges)})"
             )
-        if load is not None and len(candidates) > 1:
-            order = topo.PORT_ORDER.index
-            port = min(candidates,
-                       key=lambda p: (load(p), order(p)))
+        if load is not None:
+            port = self._least_loaded(candidates, load)
         elif canonical_port in candidates:
             port = canonical_port
         else:
             port = candidates[0]
-        rerouted = bool(dead_edges) and (
-            port != canonical_port
-            or topo.edge_for(src, canonical_port) in dead_edges
-        )
+        rerouted = (port != canonical_port
+                    or topo.edge_for(src, canonical_port) in dead_edges)
         return Route(port, here, rerouted=rerouted)
+
+    @staticmethod
+    def _least_loaded(ports: Sequence[str], load: LoadFn) -> str:
+        """The least-loaded port; ``ports`` come in ``PORT_ORDER`` and
+        ``min`` keeps the first of equals, so ties go in port order."""
+        if len(ports) == 1:
+            return ports[0]
+        return min(ports, key=load)
 
 
 #: Selectable router names for configs/CLIs.

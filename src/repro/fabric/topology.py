@@ -101,10 +101,17 @@ class Route:
 class Topology:
     """Common interface for switchless topologies.
 
-    Subclasses must provide :meth:`neighbor`, :meth:`cables`,
-    :meth:`next_hop` and :meth:`min_hops`; rings and chains additionally
-    keep the scalar :meth:`hops`/:meth:`route` interface the runtime's
-    default routers use.
+    A topology is immutable once built.  The constructor tabulates every
+    static cabling fact — per (host, port) neighbor and edge id, and per
+    host the cabled ports — from the subclass's closed-form
+    :meth:`_wire` arithmetic, and every query afterwards is a table
+    lookup.  Per (src, dst) answers (:meth:`next_hop`, :meth:`min_hops`,
+    :meth:`minimal_ports`) are filled lazily from :meth:`_first_hop` /
+    :meth:`_distance` the first time a pair is asked, so the tables only
+    grow with the pairs a run actually routes.  Subclasses provide those
+    three closed forms; rings and chains additionally keep the scalar
+    :meth:`hops`/:meth:`route` interface the runtime's default routers
+    use.
     """
 
     #: Port names as (negative, positive) pairs per axis.
@@ -119,6 +126,41 @@ class Topology:
         #: crossing the gap leftward).  Mirrored into the metrics fabric
         #: by the runtime as ``route_fallbacks``.
         self.fallbacks = 0
+        self._build_tables()
+
+    def _build_tables(self) -> None:
+        """Tabulate the cabling plan once, from :meth:`_wire`."""
+        order = self.PORT_ORDER
+        self._port_index = {name: index for index, name in enumerate(order)}
+        self._neighbors: dict[int, dict[str, Optional[int]]] = {}
+        self._edges: dict[int, dict[str, Optional[tuple[int, int]]]] = {}
+        self._ports: dict[int, tuple[str, ...]] = {}
+        for host in range(self.n_hosts):
+            neighbors: dict[str, Optional[int]] = {}
+            edges: dict[str, Optional[tuple[int, int]]] = {}
+            for index, name in enumerate(order):
+                nb = neighbors[name] = self._wire(host, index)
+                # Positive ports own the cable: (host, neighbor);
+                # negative ports alias the neighbor's positive edge.
+                edges[name] = None if nb is None else (
+                    (host, nb) if index % 2 else (nb, host))
+            self._neighbors[host] = neighbors
+            self._edges[host] = edges
+            self._ports[host] = tuple([
+                name for name in order if neighbors[name] is not None])
+        # Per-pair answers, filled on first query: source -> dst -> answer.
+        self._next_hops: dict[int, dict[int, tuple[str, int]]] = {}
+        self._min_hops: dict[int, dict[int, int]] = {}
+        self._minimal_ports: dict[int, dict[int, tuple[str, ...]]] = {}
+
+    def _retry(self, table: dict, host_id: int,
+               port: Optional[PortLike] = None):
+        """Serve a table miss: a ring/chain port spelled as a
+        :class:`Direction`, or raise the TopologyError that explains a
+        bad host or port (a Direction on a grid is a bad port)."""
+        self.check_host(host_id)
+        row = table[host_id]
+        return row if port is None else row[self.check_port(port)]
 
     def check_host(self, host_id: int) -> None:
         if not (0 <= host_id < self.n_hosts):
@@ -135,23 +177,26 @@ class Topology:
             )
         return name
 
+    def _index(self, port: PortLike) -> int:
+        try:
+            return self._port_index[port]
+        except (KeyError, TypeError):
+            return self._port_index[self.check_port(port)]
+
     def ports(self, host_id: int) -> tuple[str, ...]:
         """The ports on ``host_id`` that have a cabled neighbor."""
-        self.check_host(host_id)
-        return tuple(
-            port for port in self.PORT_ORDER
-            if self.neighbor(host_id, port) is not None
-        )
+        try:
+            return self._ports[host_id]
+        except (KeyError, TypeError):
+            return self._retry(self._ports, host_id)
 
     def port_polarity(self, port: PortLike) -> bool:
         """True for the positive member of a port pair (owns the cable)."""
-        name = self.check_port(port)
-        return self.PORT_ORDER.index(name) % 2 == 1
+        return self._index(port) % 2 == 1
 
     def opposite_port(self, port: PortLike) -> str:
         """The same-axis port of opposite polarity."""
-        name = self.check_port(port)
-        return self.PORT_ORDER[self.PORT_ORDER.index(name) ^ 1]
+        return self.PORT_ORDER[self._index(port) ^ 1]
 
     def edge_for(self, host_id: int, port: PortLike) -> Optional[tuple[int, int]]:
         """Canonical directed edge id of the cable behind ``port``.
@@ -160,26 +205,38 @@ class Topology:
         negative ports alias the neighbor's positive edge
         ``(neighbor, host)``.  None at a chain/mesh boundary.
         """
-        nb = self.neighbor(host_id, port)
-        if nb is None:
-            return None
-        if self.port_polarity(port):
-            return (host_id, nb)
-        return (nb, host_id)
+        try:
+            return self._edges[host_id][port]
+        except (KeyError, TypeError):
+            return self._retry(self._edges, host_id, port)
 
     # -- structure -----------------------------------------------------------
     def neighbor(self, host_id: int, direction: PortLike) -> Optional[int]:
         """The adjacent host behind ``direction``/port, or None at an edge."""
+        try:
+            return self._neighbors[host_id][direction]
+        except (KeyError, TypeError):
+            return self._retry(self._neighbors, host_id, direction)
+
+    def _wire(self, host_id: int, port_index: int) -> Optional[int]:
+        """Closed form: the host cabled to ``PORT_ORDER[port_index]``."""
         raise NotImplementedError
 
     def cables(self) -> Iterator[tuple[int, str, int, str]]:
         """All cables as ``(owner, owner_port, peer, peer_port)`` tuples.
 
         ``owner_port`` is always positive; the matching negative port on
-        ``peer`` is ``opposite_port(owner_port)``.  Yield order is the
-        cluster build/cabling order and must stay stable.
+        ``peer`` is ``opposite_port(owner_port)``.  Yield order — by
+        host, then axis — is the cluster build/cabling order and must
+        stay stable.
         """
-        raise NotImplementedError
+        for host in range(self.n_hosts):
+            neighbors = self._neighbors[host]
+            for index in range(1, len(self.PORT_ORDER), 2):
+                port = self.PORT_ORDER[index]
+                peer = neighbors[port]
+                if peer is not None:
+                    yield host, port, peer, self.PORT_ORDER[index - 1]
 
     def links(self) -> Iterator[tuple[int, int]]:
         """All cables as (host_a, host_b): a's positive to b's negative."""
@@ -196,10 +253,48 @@ class Topology:
 
     def next_hop(self, src: int, dst: int) -> tuple[str, int]:
         """The canonical first hop for src -> dst: ``(port, next_host)``."""
-        raise NotImplementedError
+        try:
+            return self._next_hops[src][dst]
+        except (KeyError, TypeError):
+            hop = self._first_hop(src, dst)
+            self._next_hops.setdefault(src, {})[dst] = hop
+            return hop
 
     def min_hops(self, src: int, dst: int) -> int:
         """Length of the canonical (minimal) path from src to dst."""
+        try:
+            return self._min_hops[src][dst]
+        except (KeyError, TypeError):
+            hops = self._distance(src, dst)
+            self._min_hops.setdefault(src, {})[dst] = hops
+            return hops
+
+    def minimal_ports(self, src: int, dst: int) -> tuple[str, ...]:
+        """Cabled ports at ``src`` whose neighbor is one hop closer to
+        ``dst`` on the intact fabric, in ``PORT_ORDER``.
+
+        The canonical :meth:`next_hop` port is always among them.  This
+        is the candidate set adaptive routers rank by live load; it is
+        shared by every router over this topology.
+        """
+        try:
+            return self._minimal_ports[src][dst]
+        except (KeyError, TypeError):
+            self.next_hop(src, dst)  # validates the pair, rejects src == dst
+            closer = self.min_hops(src, dst) - 1
+            ports = tuple(
+                port for port in self.ports(src)
+                if self.min_hops(self.neighbor(src, port), dst) == closer
+            )
+            self._minimal_ports.setdefault(src, {})[dst] = ports
+            return ports
+
+    def _first_hop(self, src: int, dst: int) -> tuple[str, int]:
+        """Closed form behind :meth:`next_hop` (validates the pair)."""
+        raise NotImplementedError
+
+    def _distance(self, src: int, dst: int) -> int:
+        """Closed form behind :meth:`min_hops` (validates the pair)."""
         raise NotImplementedError
 
     def path(self, src: int, dst: int) -> list[tuple[int, str, int]]:
@@ -251,15 +346,8 @@ class Topology:
 class RingTopology(Topology):
     """N hosts in a cycle; every host has both neighbors."""
 
-    def neighbor(self, host_id: int, direction: PortLike) -> int:
-        self.check_host(host_id)
-        if self.check_port(direction) == "right":
-            return (host_id + 1) % self.n_hosts
-        return (host_id - 1) % self.n_hosts
-
-    def cables(self) -> Iterator[tuple[int, str, int, str]]:
-        for host in range(self.n_hosts):
-            yield host, "right", (host + 1) % self.n_hosts, "left"
+    def _wire(self, host_id: int, port_index: int) -> int:
+        return (host_id + (1 if port_index else -1)) % self.n_hosts
 
     def hops(self, src: int, dst: int, direction: Direction) -> int:
         self.check_host(src)
@@ -268,13 +356,11 @@ class RingTopology(Topology):
             return (dst - src) % self.n_hosts
         return (src - dst) % self.n_hosts
 
-    def next_hop(self, src: int, dst: int) -> tuple[str, int]:
+    def _first_hop(self, src: int, dst: int) -> tuple[str, int]:
         route = self.route(src, dst, RoutingPolicy.SHORTEST)
         return route.port, self.neighbor(src, route.port)
 
-    def min_hops(self, src: int, dst: int) -> int:
-        if src == dst:
-            return 0
+    def _distance(self, src: int, dst: int) -> int:
         return min(self.hops(src, dst, Direction.RIGHT),
                    self.hops(src, dst, Direction.LEFT))
 
@@ -285,15 +371,9 @@ class RingTopology(Topology):
 class ChainTopology(Topology):
     """N hosts in a line: host 0 has no left neighbor, host N-1 no right."""
 
-    def neighbor(self, host_id: int, direction: PortLike) -> Optional[int]:
-        self.check_host(host_id)
-        if self.check_port(direction) == "right":
-            return host_id + 1 if host_id + 1 < self.n_hosts else None
-        return host_id - 1 if host_id > 0 else None
-
-    def cables(self) -> Iterator[tuple[int, str, int, str]]:
-        for host in range(self.n_hosts - 1):
-            yield host, "right", host + 1, "left"
+    def _wire(self, host_id: int, port_index: int) -> Optional[int]:
+        nb = host_id + (1 if port_index else -1)
+        return nb if 0 <= nb < self.n_hosts else None
 
     def hops(self, src: int, dst: int,
              direction: Direction) -> Optional[int]:
@@ -303,7 +383,7 @@ class ChainTopology(Topology):
             return dst - src if dst > src else None
         return src - dst if dst < src else None
 
-    def next_hop(self, src: int, dst: int) -> tuple[str, int]:
+    def _first_hop(self, src: int, dst: int) -> tuple[str, int]:
         self.check_host(src)
         self.check_host(dst)
         if src == dst:
@@ -311,7 +391,7 @@ class ChainTopology(Topology):
         port = "right" if dst > src else "left"
         return port, self.neighbor(src, port)
 
-    def min_hops(self, src: int, dst: int) -> int:
+    def _distance(self, src: int, dst: int) -> int:
         self.check_host(src)
         self.check_host(dst)
         return abs(dst - src)
@@ -339,19 +419,7 @@ class GridTopology(Topology):
 
     def __init__(self, dims: Sequence[int], wrap: bool):
         dims = tuple(int(d) for d in dims)
-        if not 1 <= len(dims) <= 3:
-            raise TopologyError(
-                f"grid needs 1..3 dimensions, got {len(dims)}"
-            )
-        floor = 3 if wrap else 2
-        for axis, extent in zip(self.AXES, dims):
-            if extent < floor:
-                kind = "torus" if wrap else "mesh"
-                raise TopologyError(
-                    f"{kind} axis {axis!r} needs extent >= {floor}, "
-                    f"got {extent}"
-                )
-        super().__init__(prod(dims))
+        self.check_dims(dims, wrap)
         self.dims = dims
         self.wrap = wrap
         self.PORT_ORDER = tuple(
@@ -363,14 +431,36 @@ class GridTopology(Topology):
         self._strides = tuple(
             prod(dims[:axis]) for axis in range(len(dims))
         )
+        self._coords = {
+            host: tuple((host // stride) % extent
+                        for stride, extent in zip(self._strides, dims))
+            for host in range(prod(dims))
+        }
+        super().__init__(prod(dims))
+
+    @classmethod
+    def check_dims(cls, dims: Sequence[int], wrap: bool) -> None:
+        """Raise TopologyError unless ``dims`` is a buildable grid shape:
+        1..3 axes, each at least 2 long (3 when wrapped)."""
+        if not 1 <= len(dims) <= 3:
+            raise TopologyError(
+                f"grid needs 1..3 dimensions, got {len(dims)}"
+            )
+        floor = 3 if wrap else 2
+        for axis, extent in zip(cls.AXES, dims):
+            if extent < floor:
+                kind = "torus" if wrap else "mesh"
+                raise TopologyError(
+                    f"{kind} axis {axis!r} needs extent >= {floor}, "
+                    f"got {extent}"
+                )
 
     # -- coordinates ---------------------------------------------------------
     def coords(self, host_id: int) -> tuple[int, ...]:
-        self.check_host(host_id)
-        return tuple(
-            (host_id // self._strides[axis]) % self.dims[axis]
-            for axis in range(len(self.dims))
-        )
+        try:
+            return self._coords[host_id]
+        except (KeyError, TypeError):
+            return self._retry(self._coords, host_id)
 
     def host_at(self, coords: Sequence[int]) -> int:
         if len(coords) != len(self.dims):
@@ -385,37 +475,17 @@ class GridTopology(Topology):
                 )
         return sum(c * s for c, s in zip(coords, self._strides))
 
-    def _port_axis_sign(self, port: PortLike) -> tuple[int, int]:
-        name = self.check_port(port)
-        index = self.PORT_ORDER.index(name)
-        return index // 2, +1 if index % 2 else -1
-
     # -- structure -----------------------------------------------------------
-    def neighbor(self, host_id: int, direction: PortLike) -> Optional[int]:
-        self.check_host(host_id)
-        axis, sign = self._port_axis_sign(direction)
-        coords = list(self.coords(host_id))
+    def _wire(self, host_id: int, port_index: int) -> Optional[int]:
+        axis, positive = divmod(port_index, 2)
+        here = self._coords[host_id][axis]
         extent = self.dims[axis]
-        nxt = coords[axis] + sign
+        there = here + (1 if positive else -1)
         if self.wrap:
-            coords[axis] = nxt % extent
-        else:
-            if not 0 <= nxt < extent:
-                return None
-            coords[axis] = nxt
-        return self.host_at(coords)
-
-    def cables(self) -> Iterator[tuple[int, str, int, str]]:
-        for host in range(self.n_hosts):
-            for axis in range(len(self.dims)):
-                port = self.PORT_ORDER[axis * 2 + 1]  # positive
-                peer = self.neighbor(host, port)
-                if peer is None:
-                    continue
-                coords = self.coords(host)
-                if not self.wrap and coords[axis] + 1 >= self.dims[axis]:
-                    continue  # pragma: no cover - neighbor() already None
-                yield host, port, peer, self.opposite_port(port)
+            there %= extent
+        elif not 0 <= there < extent:
+            return None
+        return host_id + (there - here) * self._strides[axis]
 
     # -- routing -------------------------------------------------------------
     def hops(self, src: int, dst: int, direction: Direction) -> Optional[int]:
@@ -434,11 +504,7 @@ class GridTopology(Topology):
             return -1, back
         return (+1 if to > frm else -1), abs(to - frm)
 
-    def next_hop(self, src: int, dst: int) -> tuple[str, int]:
-        self.check_host(src)
-        self.check_host(dst)
-        if src == dst:
-            raise TopologyError(f"route to self (host {src})")
+    def _first_hop(self, src: int, dst: int) -> tuple[str, int]:
         sc = self.coords(src)
         dc = self.coords(dst)
         for axis, (s, d) in enumerate(zip(sc, dc)):
@@ -447,13 +513,9 @@ class GridTopology(Topology):
             sign, _ = self._axis_step(axis, s, d)
             port = self.PORT_ORDER[axis * 2 + (1 if sign > 0 else 0)]
             return port, self.neighbor(src, port)
-        raise TopologyError(  # pragma: no cover - src != dst implies a diff
-            f"no differing axis routing {src} -> {dst}"
-        )
+        raise TopologyError(f"route to self (host {src})")
 
-    def min_hops(self, src: int, dst: int) -> int:
-        self.check_host(src)
-        self.check_host(dst)
+    def _distance(self, src: int, dst: int) -> int:
         sc = self.coords(src)
         dc = self.coords(dst)
         return sum(

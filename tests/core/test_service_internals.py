@@ -191,3 +191,22 @@ class TestMailboxFlowControl:
         ]
         with pytest.raises(ProtocolError, match="nothing outstanding"):
             env.run(until=env.all_of(processes))
+
+    def test_handshake_rejects_hello_from_wrong_host(self, ring3):
+        from repro.core.runtime import _HELLO_MAGIC, ShmemRuntime
+
+        runtimes = [ShmemRuntime(ring3, pe) for pe in range(3)]
+        env = ring3.env
+
+        def announce_as_host_2(link):
+            # Host 1 claims to be host 2 on both of its cables, as a
+            # mis-cabled fabric would look to its neighbors.
+            yield from link.driver.spad_write(
+                link.data_mailbox.spad_block + 0, _HELLO_MAGIC | 2)
+
+        runtimes[1]._announce = announce_as_host_2
+        processes = [env.process(runtime.initialize())
+                     for runtime in runtimes]
+        with pytest.raises(ProtocolError,
+                           match="says host 2, cabling plan says 1"):
+            env.run(until=env.all_of(processes))

@@ -175,6 +175,16 @@ class TestGridCluster:
         with pytest.raises(ValueError):
             ClusterConfig(n_hosts=4, topology="ring", dims=(2, 2))
 
+    def test_config_rejects_bad_grid_shape(self):
+        # The shape is checked when the config is made, not first when
+        # a Cluster is built from it.
+        with pytest.raises(TopologyError, match="extent >= 3"):
+            ClusterConfig(n_hosts=4, topology="torus", dims=(2, 2))
+        with pytest.raises(TopologyError, match="1..3 dimensions"):
+            ClusterConfig(n_hosts=16, topology="mesh", dims=(2, 2, 2, 2))
+        with pytest.raises(TopologyError, match="extent >= 2"):
+            ClusterConfig(n_hosts=4, topology="mesh", dims=(1, 4))
+
     def test_ring_is_unchanged_by_generalization(self):
         # The ring keeps its historical ports, names and cable plan.
         topo = RingTopology(4)

@@ -222,6 +222,33 @@ class TestAdaptiveRouter:
                     node, 2, topo.opposite_port(port), dead_edges=dead)
         assert walked == route.hops == 2
 
+    def test_restore_serves_no_stale_distance_field(self):
+        # 3x3 torus, 0=(0,0) -> 1=(1,0): the intact route is one hop out
+        # x+ over edge (0,1).  Each step compares against the intact or
+        # freshly computed route, so a distance field cached under an
+        # earlier dead set would show up as extra hops or a reroute.
+        topo = TorusTopology((3, 3))
+        router = AdaptiveRouter(topo)
+        intact = router.resolve(0, 1)
+        assert (intact.port, intact.hops, intact.rerouted) == ("x+", 1, False)
+
+        severed = router.resolve(0, 1, dead_edges={(0, 1)})
+        assert (severed.port, severed.hops, severed.rerouted) == \
+            ("x-", 2, True)
+
+        restored = router.resolve(0, 1, dead_edges=set())
+        assert restored == intact
+        assert not restored.rerouted
+
+        # Partial restore: with 0's x- cable (2,0) also cut the detour
+        # leaves along y (3 hops); restoring (2,0) alone must bring the
+        # 2-hop x- detour back, not the field computed for both cuts.
+        both = router.resolve(0, 1, dead_edges={(0, 1), (2, 0)})
+        assert both.hops == 3 and both.rerouted
+        one = router.resolve(0, 1, dead_edges={(0, 1)})
+        assert one == severed and one.rerouted
+        assert router.resolve(0, 1) == intact
+
     def test_isolated_source_raises(self):
         # Adaptive resolution is local: it checks the *next* edge, not
         # the whole path (downstream severs re-resolve per hop).  With

@@ -66,6 +66,39 @@ class TestGridEndToEnd:
         assert all(r["ok"] for r in report.results)
         assert report.runtimes[0].router.name == "adaptive"
 
+    def test_restored_edge_routes_canonically_again(self):
+        # 3x3 torus, PE 0 -> PE 1: sever their cable, route, restore it,
+        # route again.  The runtime's reroute counter must count only
+        # the severed resolve, and the restored route must be the intact
+        # one-hop x+ route rather than a detour from a cached field.
+        def main(pe):
+            rt = pe.rt
+            if pe.my_pe() == 0:
+                intact = rt.route_to(1)
+                rt.apply_edge_dead((0, 1))
+                detour = rt.route_to(1)
+                rt.apply_edge_alive((0, 1))
+                restored = rt.route_to(1)
+                return {"intact": (intact.port, intact.hops),
+                        "detour": (detour.port, detour.hops),
+                        "restored": (restored.port, restored.hops,
+                                     restored.rerouted),
+                        "reroutes": rt.reroutes}
+            return {}
+            yield  # pragma: no cover - makes main a generator
+
+        report = run_spmd(
+            main, n_pes=9,
+            cluster_config=ClusterConfig(n_hosts=9, topology="torus",
+                                         dims=(3, 3)),
+            shmem_config=ShmemConfig(router="adaptive"),
+            check_heap_consistency=False)
+        got = report.results[0]
+        assert got["intact"] == ("x+", 1)
+        assert got["detour"] == ("x-", 2)
+        assert got["restored"] == ("x+", 1, False)
+        assert got["reroutes"] == 1
+
     def test_torus_3d(self):
         report = run_spmd(
             _antipodal_workload, n_pes=27,

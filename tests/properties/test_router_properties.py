@@ -16,22 +16,35 @@ relay) — must:
 Exactness holds for all three router families: policy routers validate
 the whole straight line at resolve time, and the dimension-order and
 adaptive routers descend a live-BFS distance field one hop at a time.
+
+The topology answers every structural query from tables built at
+construction (and per-pair memos), and the adaptive router ranks the
+topology's cached minimal-port sets.  A second group of
+properties checks those answers against brute-force coordinate and BFS
+computations written here, independently of the library, and checks
+the cached adaptive pick against the uncached rule.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from math import prod
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fabric import (
     AdaptiveRouter,
     ChainTopology,
     DimensionOrderRouter,
+    Direction,
     GridTopology,
     MeshTopology,
     NoRouteError,
     PolicyRouter,
     RingTopology,
     RoutingPolicy,
+    TopologyError,
     TorusTopology,
 )
 
@@ -131,3 +144,229 @@ class TestRouterWalks:
                 f"{router.name}: resolve {'succeeded' if resolved else 'failed'} "
                 f"but live graph says reachable={reachable}"
             )
+
+
+# -- brute-force reference -------------------------------------------------
+# Every topology is described as (kind, shape): ring/chain of n hosts, or
+# a mesh/torus grid of extents ``dims`` numbered row-major, x fastest.
+_SHAPES = st.one_of(
+    st.tuples(st.just("ring"), st.integers(2, 7)),
+    st.tuples(st.just("chain"), st.integers(2, 7)),
+    st.tuples(st.just("mesh"),
+              st.sampled_from([(2,), (5,), (2, 2), (3, 2), (2, 3, 2)])),
+    st.tuples(st.just("torus"),
+              st.sampled_from([(3,), (5,), (3, 4), (4, 4), (3, 3, 3)])),
+)
+
+
+def _build(kind, shape):
+    return {"ring": RingTopology, "chain": ChainTopology,
+            "mesh": MeshTopology, "torus": TorusTopology}[kind](shape)
+
+
+def _reference(kind, shape):
+    """(port names, {(host, port): neighbor-or-None}) from coordinates."""
+    if kind in ("ring", "chain"):
+        n = shape
+        wired = {}
+        for host in range(n):
+            for port, step in (("left", -1), ("right", +1)):
+                nb = host + step
+                if kind == "ring":
+                    nb %= n
+                wired[host, port] = nb if 0 <= nb < n else None
+        return ("left", "right"), wired
+    dims = shape
+    wrap = kind == "torus"
+    names = tuple(f"{axis}{sign}" for axis in "xyz"[:len(dims)]
+                  for sign in "-+")
+    wired = {}
+    for host in range(prod(dims)):
+        point, rest = [], host
+        for extent in dims:
+            point.append(rest % extent)
+            rest //= extent
+        for axis, extent in enumerate(dims):
+            for sign, step in (("-", -1), ("+", +1)):
+                moved = list(point)
+                moved[axis] += step
+                if wrap:
+                    moved[axis] %= extent
+                port = "xyz"[axis] + sign
+                if not 0 <= moved[axis] < extent:
+                    wired[host, port] = None
+                    continue
+                nb, scale = 0, 1
+                for c, e in zip(moved, dims):
+                    nb += c * scale
+                    scale *= e
+                wired[host, port] = nb
+    return names, wired
+
+
+def _bfs(n_hosts, names, wired, dst, dead=frozenset()):
+    """Hop distances to ``dst`` over the live cables."""
+    dist = {dst: 0}
+    queue = deque([dst])
+    while queue:
+        node = queue.popleft()
+        for port in names:
+            nb = wired[node, port]
+            if nb is None or nb in dist \
+                    or _ref_edge(names, node, port, nb) in dead:
+                continue
+            dist[nb] = dist[node] + 1
+            queue.append(nb)
+    return dist
+
+
+def _ref_edge(names, host, port, nb):
+    # Positive ports (odd PORT_ORDER index) own the cable.
+    return (host, nb) if names.index(port) % 2 else (nb, host)
+
+
+def _ref_next_hop(kind, shape, names, wired, src, dst):
+    """Shortest way round on 1D fabrics (ties right/positive); lowest
+    differing axis first on grids."""
+    if kind in ("ring", "chain"):
+        n = shape
+        if kind == "chain":
+            port = "right" if dst > src else "left"
+        else:
+            port = "right" if (dst - src) % n <= (src - dst) % n else "left"
+        return port, wired[src, port]
+    dims = shape
+    scale = 1
+    for axis, extent in enumerate(dims):
+        s, d = (src // scale) % extent, (dst // scale) % extent
+        scale *= extent
+        if s == d:
+            continue
+        if kind == "torus":
+            positive = (d - s) % extent <= (s - d) % extent
+        else:
+            positive = d > s
+        port = "xyz"[axis] + ("+" if positive else "-")
+        return port, wired[src, port]
+    raise AssertionError("src == dst")
+
+
+def _uncached_adaptive(names, wired, n_hosts, kind, shape, src, dst,
+                       dead, load):
+    """The adaptive rule recomputed from scratch on every call."""
+    canonical, _ = _ref_next_hop(kind, shape, names, wired, src, dst)
+    dist = _bfs(n_hosts, names, wired, dst, dead)
+    here = dist.get(src)
+    if here is None:
+        return None
+    candidates = [
+        port for port in names
+        if wired[src, port] is not None
+        and _ref_edge(names, src, port, wired[src, port]) not in dead
+        and dist.get(wired[src, port]) == here - 1
+    ]
+    if load is not None and len(candidates) > 1:
+        port = min(candidates, key=lambda p: (load(p), names.index(p)))
+    elif canonical in candidates:
+        port = canonical
+    else:
+        port = candidates[0]
+    return port, here
+
+
+class TestTablesMatchBruteForce:
+    @settings(max_examples=40, deadline=None)
+    @given(_SHAPES)
+    def test_every_structural_answer_matches(self, case):
+        kind, shape = case
+        topo = _build(kind, shape)
+        names, wired = _reference(kind, shape)
+        n = topo.n_hosts
+        assert topo.PORT_ORDER == names
+        for host in range(n):
+            cabled = tuple(p for p in names if wired[host, p] is not None)
+            assert topo.ports(host) == cabled
+            for port in names:
+                nb = wired[host, port]
+                assert topo.neighbor(host, port) == nb
+                assert topo.edge_for(host, port) == (
+                    None if nb is None else _ref_edge(names, host, port, nb))
+        fields = {dst: _bfs(n, names, wired, dst) for dst in range(n)}
+        for src in range(n):
+            for dst in range(n):
+                assert topo.min_hops(src, dst) == fields[dst][src]
+                if src == dst:
+                    continue
+                assert topo.next_hop(src, dst) == _ref_next_hop(
+                    kind, shape, names, wired, src, dst)
+                assert topo.minimal_ports(src, dst) == tuple(
+                    p for p in names if wired[src, p] is not None
+                    and fields[dst][wired[src, p]] == fields[dst][src] - 1)
+        # Re-asking must serve the same (memoized) answers.
+        assert [topo.next_hop(0, d) for d in range(1, n)] == [
+            _ref_next_hop(kind, shape, names, wired, 0, d)
+            for d in range(1, n)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_SHAPES)
+    def test_bad_keys_still_raise(self, case):
+        kind, shape = case
+        topo = _build(kind, shape)
+        n = topo.n_hosts
+        for host in (-1, n, n + 3):
+            for query in (lambda h: topo.neighbor(h, topo.PORT_ORDER[1]),
+                          lambda h: topo.edge_for(h, topo.PORT_ORDER[0]),
+                          topo.ports,
+                          lambda h: topo.next_hop(h, 0),
+                          lambda h: topo.next_hop(0, h),
+                          lambda h: topo.min_hops(h, 0),
+                          lambda h: topo.min_hops(0, h),
+                          lambda h: topo.minimal_ports(0, h)):
+                with pytest.raises(TopologyError):
+                    query(host)
+            if isinstance(topo, GridTopology):
+                with pytest.raises(TopologyError):
+                    topo.coords(host)
+        bad_ports = ["up", "w+"]
+        if isinstance(topo, GridTopology):
+            bad_ports += [Direction.LEFT, Direction.RIGHT, "left"]
+        for port in bad_ports:
+            for query in (topo.neighbor, topo.edge_for):
+                with pytest.raises(TopologyError):
+                    query(0, port)
+            with pytest.raises(TopologyError):
+                topo.opposite_port(port)
+        for src in range(n):
+            with pytest.raises(TopologyError):
+                topo.next_hop(src, src)
+            with pytest.raises(TopologyError):
+                topo.minimal_ports(src, src)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_SHAPES.filter(lambda c: c[0] in ("mesh", "torus")), st.data())
+    def test_adaptive_pick_matches_uncached_rule(self, case, data):
+        # One router answers a sequence of (dead set, pair, load) queries,
+        # so an answer carried across dead-set changes would show up.
+        kind, shape = case
+        topo = _build(kind, shape)
+        names, wired = _reference(kind, shape)
+        n = topo.n_hosts
+        cables = [(o, p) for o, _op, p, _pp in topo.cables()]
+        router = AdaptiveRouter(topo)
+        for _ in range(data.draw(st.integers(1, 6))):
+            dead = data.draw(st.frozensets(st.sampled_from(cables),
+                                           max_size=3))
+            src = data.draw(st.integers(0, n - 1))
+            dst = (src + data.draw(st.integers(1, n - 1))) % n
+            loads = data.draw(st.none() | st.fixed_dictionaries(
+                {port: st.integers(0, 2) for port in names}))
+            load = None if loads is None else loads.__getitem__
+            expected = _uncached_adaptive(names, wired, n, kind, shape,
+                                          src, dst, dead, load)
+            try:
+                route = router.resolve(src, dst, dead_edges=dead, load=load)
+            except NoRouteError:
+                assert expected is None
+                continue
+            assert (route.port, route.hops) == expected
